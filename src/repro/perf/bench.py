@@ -68,8 +68,12 @@ class EquivalenceError(AssertionError):
     """Fast path and reference oracle disagreed on simulated counts."""
 
 
-def _check_equivalence(trace: KernelTrace, cpu_spec, gpu_spec) -> None:
-    """Exact per-group comparison of fast vs reference (memoization off)."""
+def _check_equivalence(trace: KernelTrace, cpu_spec, gpu_specs) -> None:
+    """Exact per-group comparison of fast vs reference (memoization off).
+
+    ``gpu_specs`` should cover every GPU shape the model handles: Fermi
+    (global L1), Kepler (no global L1), Tahiti (64-wide wavefronts).
+    """
     ref_cpu = CPUModel(cpu_spec, memoize=False, backend="reference")
     fast_cpu = CPUModel(cpu_spec, memoize=False, backend="fast")
     for g in trace.groups:
@@ -82,16 +86,16 @@ def _check_equivalence(trace: KernelTrace, cpu_spec, gpu_spec) -> None:
                 f"reference {a.level_hits}/{a.memory_misses}/{a.prefetched} "
                 f"!= fast {b.level_hits}/{b.memory_misses}/{b.prefetched}"
             )
-    ref_gpu = GPUModel(gpu_spec, memoize=False, backend="reference")
-    fast_gpu = GPUModel(gpu_spec, memoize=False, backend="fast")
-    for g in trace.groups:
-        a, b = ref_gpu.time_group(g), fast_gpu.time_group(g)
-        if (a.transactions, a.mem_cycles) != (b.transactions, b.mem_cycles):
-            raise EquivalenceError(
-                f"GPU {gpu_spec.name} group {g.group_id}: "
-                f"reference {a.transactions}/{a.mem_cycles} "
-                f"!= fast {b.transactions}/{b.mem_cycles}"
-            )
+    for gpu_spec in gpu_specs:
+        ref_gpu = GPUModel(gpu_spec, memoize=False, backend="reference")
+        fast_gpu = GPUModel(gpu_spec, memoize=False, backend="fast")
+        for g in trace.groups:
+            a, b = ref_gpu.time_group(g), fast_gpu.time_group(g)
+            if a != b:
+                raise EquivalenceError(
+                    f"GPU {gpu_spec.name} group {g.group_id}: "
+                    f"reference {a} != fast {b}"
+                )
 
 
 def _problem_args(app, scale: str):
@@ -311,7 +315,7 @@ def bench_app(
     # -- trace -> cycles ------------------------------------------------------
     cpu_spec, gpu_spec = devices.SNB, devices.FERMI
     for var in variants:
-        _check_equivalence(traces[var], cpu_spec, gpu_spec)
+        _check_equivalence(traces[var], cpu_spec, devices.GPU_DEVICES.values())
 
     def time_models(memoize: bool, backend: str) -> float:
         start = time.perf_counter()

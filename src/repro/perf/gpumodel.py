@@ -2,7 +2,7 @@
 
 Used by the Fig. 2 motivation experiment (Fermi / Kepler / Tahiti).
 
-Per vectorised memory event the work-group is cut into warps:
+Each vectorised memory event of a work-group is cut into warps:
 
 * **global** accesses cost one transaction per distinct ``segment``-byte
   block touched by the warp (the coalescing rule) — an uncoalesced
@@ -11,6 +11,15 @@ Per vectorised memory event the work-group is cut into warps:
   transactions then probe the (optional) L1 and the L2;
 * **local** (scratch-pad) accesses cost the bank-conflict degree of the
   warp: the maximum number of *distinct words* wanted from one bank.
+
+Both rules run as one array pass per work-group, not one per event:
+every lane is tagged with its event's index, and a single ``lexsort``
+over the (event, warp, bank, word) or (event, warp, segment) columns
+brings each warp's requests together.  Run boundaries then give the
+distinct words per bank (``reduceat`` takes the per-warp maximum) and
+the distinct segments, which leave event-major, warp-major, segments
+ascending — the order a per-event pass would produce.  A lane-less
+event costs nothing.
 
 Compute cost is issue-throughput-bound; the final group cost is
 ``compute + (1 - latency_hiding) * memory`` — multithreading overlaps
@@ -21,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +38,7 @@ from repro.ir.types import AddressSpace
 from repro.session import events
 from repro.perf.devices import GPUSpec
 from repro.perf.fastcache import make_hierarchy, memo_enabled
-from repro.runtime.trace import GroupTrace, KernelTrace, MemEvent
+from repro.runtime.trace import GroupTrace, KernelTrace
 
 
 @dataclass
@@ -66,36 +75,64 @@ class GPUModel:
         specs.append((s.l2_kb / s.compute_units, s.l2_assoc, s.line_size, "L2"))
         return make_hierarchy(specs, prefetch=False, backend=self.backend)
 
-    def _spm_degrees(self, ev: MemEvent) -> np.ndarray:
-        """Bank-conflict degree per warp: the maximum number of distinct
-        words wanted from one bank (broadcast of the same word is free)."""
-        s = self.spec
-        warps = ev.lanes // s.warp_size
-        words = ev.offsets // 4
-        banks = words % s.spm_banks
-        # distinct (warp, bank, word) requests, lexicographically sorted
-        tri = np.unique(np.stack([warps, banks, words], axis=1), axis=0)
-        # word count per (warp, bank) run, then max over each warp's banks
-        wb_change = np.empty(len(tri), dtype=bool)
-        wb_change[0] = True
-        wb_change[1:] = np.any(tri[1:, :2] != tri[:-1, :2], axis=1)
-        wb_starts = np.flatnonzero(wb_change)
-        counts = np.diff(np.append(wb_starts, len(tri)))
-        warp_of = tri[wb_starts, 0]
-        w_change = np.empty(len(warp_of), dtype=bool)
-        w_change[0] = True
-        w_change[1:] = warp_of[1:] != warp_of[:-1]
-        return np.maximum.reduceat(counts, np.flatnonzero(w_change))
+    def _memory_costs(self, gt: GroupTrace) -> Tuple[int, np.ndarray]:
+        """One array pass over the group's events.
 
-    def _transaction_lines(self, ev: MemEvent) -> np.ndarray:
-        """Coalesce a global/constant event into per-warp segment
-        transactions: one line id per distinct ``segment``-byte block
-        touched by each warp, warp-major, segments ascending."""
+        Returns the group's summed bank-conflict degree (over every
+        LOCAL event's warps) and its transaction line stream (one line
+        id per distinct ``segment``-byte block each warp of each other
+        event touches: event-major, warp-major, segments ascending).
+        Each lane is tagged with its event's index — LOCAL events first,
+        then the rest, in program order — so one ``lexsort`` over
+        separate columns replaces a sort per event.
+        """
         s = self.spec
-        warps = ev.lanes // s.warp_size
-        segs = ev.offsets // s.segment
-        pairs = np.unique(np.stack([warps, segs], axis=1), axis=0)
-        return (np.int64(ev.buffer_id) << 40) | pairs[:, 1].astype(np.int64)
+        local = [e for e in gt.events if e.space == AddressSpace.LOCAL]
+        other = [e for e in gt.events if e.space != AddressSpace.LOCAL]
+        evs = local + other
+        if not evs:
+            return 0, np.empty(0, dtype=np.int64)
+        counts = np.fromiter((len(e.offsets) for e in evs), np.int64, len(evs))
+        tags = np.repeat(np.arange(len(evs)), counts)
+        lanes = np.concatenate([e.lanes for e in evs], dtype=np.int64)
+        offs = np.concatenate([e.offsets for e in evs], dtype=np.int64)
+        warps = lanes // s.warp_size
+        split = int(counts[: len(local)].sum())
+
+        # bank conflicts: distinct (event, warp, bank, word) requests;
+        # per (event, warp) the most distinct words wanted from one bank
+        # (a broadcast of the same word is free)
+        spm_requests = 0
+        if split:
+            ev, wp = tags[:split], warps[:split]
+            words = offs[:split] // 4
+            banks = words % s.spm_banks
+            order = np.lexsort((words, banks, wp, ev))
+            ev, wp, banks, words = ev[order], wp[order], banks[order], words[order]
+            new_warp = np.empty(split, dtype=bool)
+            new_warp[0] = True
+            new_warp[1:] = (ev[1:] != ev[:-1]) | (wp[1:] != wp[:-1])
+            new_bank = new_warp.copy()
+            new_bank[1:] |= banks[1:] != banks[:-1]
+            new_word = new_bank.copy()
+            new_word[1:] |= words[1:] != words[:-1]
+            bank_starts = np.flatnonzero(new_bank)
+            words_per_bank = np.add.reduceat(new_word, bank_starts, dtype=np.int64)
+            degrees = np.maximum.reduceat(
+                words_per_bank, np.flatnonzero(new_warp[bank_starts])
+            )
+            spm_requests = int(degrees.sum())
+
+        # coalescing: distinct (event, warp, segment) transactions
+        ev, wp = tags[split:], warps[split:]
+        segs = offs[split:] // s.segment
+        order = np.lexsort((segs, wp, ev))
+        ev, wp, segs = ev[order], wp[order], segs[order]
+        keep = np.ones(len(ev), dtype=bool)
+        keep[1:] = (ev[1:] != ev[:-1]) | (wp[1:] != wp[:-1]) | (segs[1:] != segs[:-1])
+        bufs = np.array([e.buffer_id for e in evs], dtype=np.int64)
+        lines = (bufs[ev[keep]] << 40) | segs[keep]
+        return spm_requests, lines
 
     def time_group(self, gt: GroupTrace) -> GPUGroupCost:
         if self.memoize:
@@ -110,18 +147,14 @@ class GPUModel:
                     )
                 return cached
         s = self.spec
-        spm_cycles = 0.0
-        streams: List[np.ndarray] = []
-        for ev in gt.events:
-            if ev.space == AddressSpace.LOCAL:
-                spm_cycles += int(self._spm_degrees(ev).sum()) * s.cost_spm
-            else:
-                streams.append(self._transaction_lines(ev))
+        spm_requests, stream = self._memory_costs(gt)
+        # every cost_spm is a multiple of 0.5 and the totals stay far
+        # below 2**53, so this equals the per-event float sum exactly
+        spm_cycles = spm_requests * s.cost_spm
 
         mem_cycles = 0.0
         transactions = 0
-        if streams:
-            stream = np.concatenate(streams)
+        if len(stream):
             transactions = len(stream)
             counts = self._caches().run(stream)
             level_costs = (

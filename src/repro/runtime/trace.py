@@ -140,13 +140,17 @@ class GroupTrace:
             )
         offs = np.concatenate([e.offsets for e in sel])
         lanes = np.concatenate([e.lanes for e in sel])
-        bufs = np.concatenate([np.full(e.count, e.buffer_id, np.int64) for e in sel])
-        sizes = np.concatenate([np.full(e.count, e.elem_size, np.int32) for e in sel])
-        stores = np.concatenate([np.full(e.count, e.is_store, bool) for e in sel])
-        spc = np.concatenate(
-            [np.full(e.count, int(e.space), np.int8) for e in sel]
-        )
-        phases = np.concatenate([np.full(e.count, e.phase, np.int64) for e in sel])
+        counts = np.fromiter((e.count for e in sel), np.int64, len(sel))
+
+        def per_access(values, dtype) -> np.ndarray:
+            # one scalar per event, repeated over that event's accesses
+            return np.repeat(np.array(values, dtype), counts)
+
+        bufs = per_access([e.buffer_id for e in sel], np.int64)
+        sizes = per_access([e.elem_size for e in sel], np.int32)
+        stores = per_access([e.is_store for e in sel], bool)
+        spc = per_access([int(e.space) for e in sel], np.int8)
+        phases = per_access([e.phase for e in sel], np.int64)
         # stable sort by (phase, lane) keeps program order within each
         # lane's phase sub-stream
         order = np.lexsort((lanes, phases))
