@@ -1,8 +1,8 @@
 """The fuzz campaign driver: generate → judge → minimize → promote.
 
 ``run_fuzz`` fans the per-case work (generation + the full four-arbiter
-oracle + optional minimization) out over the same process-pool engine
-the experiment matrix uses (:mod:`repro.parallel.engine`), gathers
+oracle + optional minimization) out over the same process pool the
+experiment matrix uses (:func:`repro.parallel.engine.fan_out`), gathers
 results in deterministic input order, writes a minimized ``.cl``
 reproducer for every mismatch, and optionally promotes novel verdict
 shapes into the committed corpus.  Every case emits a schema-validated
@@ -28,8 +28,7 @@ from typing import List, Optional, Tuple
 from repro.fuzz.generate import FuzzCase, generate_case
 from repro.fuzz.oracle import Mismatch, OracleOutcome, run_case
 from repro.fuzz.shrink import shrink_case
-from repro.parallel import pool as worker_pool
-from repro.parallel.engine import make_pool, resolve_workers
+from repro.parallel.engine import fan_out, resolve_workers
 from repro.session import events
 
 __all__ = ["CaseResult", "FuzzOptions", "FuzzRunResult", "main", "run_fuzz"]
@@ -124,18 +123,9 @@ def _judge(case: FuzzCase, minimize: bool, corrupt: str) -> CaseResult:
 
 
 def _run_one(payload: Tuple[int, int, bool, str]) -> CaseResult:
-    """In-process case runner (serial path and pool-failure fallback)."""
+    """Generate and judge one case (pool task and serial path)."""
     seed, index, minimize, corrupt = payload
     return _judge(generate_case(seed, index), minimize, corrupt)
-
-
-def _run_one_in_worker(payload: Tuple[int, int, bool, str]) -> CaseResult:
-    """Pool-child case runner: first drop the event sinks inherited over
-    ``fork`` — writing to the parent's JSONL file handle from a child
-    would interleave two streams.  The child still counts evictions
-    through its own transient collector (the oracle attaches one)."""
-    events.bus()._sinks.clear()
-    return _run_one(payload)
 
 
 def run_fuzz(options: FuzzOptions) -> FuzzRunResult:
@@ -146,26 +136,7 @@ def run_fuzz(options: FuzzOptions) -> FuzzRunResult:
         (options.seed, i, options.minimize, options.corrupt)
         for i in range(options.count)
     ]
-    results: List[CaseResult] = []
-    pool = (
-        worker_pool.acquire(n_workers, factory=make_pool)
-        if n_workers > 1
-        else None
-    )
-    if pool is None:
-        results = [_run_one(p) for p in payloads]
-    else:
-        try:
-            futures = [pool.submit(_run_one_in_worker, p) for p in payloads]
-            for payload, fut in zip(payloads, futures):
-                try:
-                    results.append(fut.result())
-                except Exception:
-                    # pool infrastructure died (a deterministic kernel
-                    # error never escapes the oracle): redo serially
-                    results.append(_run_one(payload))
-        finally:
-            pool.release()
+    results, _ = fan_out(_run_one, payloads, n_workers)
 
     run = FuzzRunResult(
         options=options, results=results, workers=n_workers

@@ -1,34 +1,42 @@
-"""Zero-copy shared-memory execution plane for sharded kernel launches.
+"""The pool's fan-out primitives and the zero-copy launch plane.
 
-A launch fans its canonical pick list out over the process-wide warm
-worker pool (:mod:`repro.parallel.pool`).  With ``pool_shm``
-(``$REPRO_POOL_SHM``, default on) the data plane is shared memory:
+Every fan-out runs on the process-wide warm worker pool
+(:mod:`repro.parallel.pool`) through one of two entry points:
 
-* **buffers out**: every argument buffer is published once into a
-  single :class:`~repro.runtime.buffers.ShmArena` segment; each worker
-  attaches zero-copy numpy views under the parent's buffer ids and
-  writes its owned groups' output ranges *in place*.  Work-group
-  independence — the contract the differential suite enforces — makes
-  those writes disjoint, so the parent's merge is one ``readback`` copy
-  per buffer instead of per-shard sparse-diff application.
-* **traces back**: a worker serializes its completed ``GroupTrace``
-  batch into the exact compressed raw-segment format the parent's
-  :class:`~repro.runtime.trace.TraceSpillStore` spills
-  (:func:`~repro.runtime.trace.compress_group_lists`), ships it through
-  a per-shard shared-memory segment, and the parent adopts the blob
-  straight into its own spill file (``adopt_compressed``) — groups
-  rehydrate lazily, bit-identical, bounded by ``$REPRO_TRACE_SPILL_MB``.
-* **warm workers**: each worker keeps the kernels it has unpickled,
-  keyed by payload hash under a *generation* counter derived from the
-  execution config — a config change invalidates the warm state, a
-  repeated launch of the same kernel skips the unpickle and, because
-  the kernel object persists, hits the content-keyed codegen module
-  cache and fingerprint memo from the previous task.
+* :func:`fan_out` — the ordered map behind the experiment matrix,
+  search scoring, tune labelling and fuzz campaigns: submit every
+  payload, gather in input order, redo a task serially in the parent
+  when its future fails for a pool-infrastructure reason;
+* :func:`parallel_launch` — one kernel launch sharded over work-group
+  ranges, on a shared-memory data plane:
 
-``$REPRO_POOL_SHM=0`` keeps the historical shared-nothing plane (every
-buffer pickled into every shard, sparse byte-diffs merged in shard
-order — deterministic even for kernels whose work-groups overlap
-writes) while still running on the persistent pool.
+  - **buffers out**: every argument buffer is published once into a
+    single :class:`~repro.runtime.buffers.ShmArena` segment; each
+    worker attaches zero-copy numpy views under the parent's buffer ids
+    and writes its owned groups' output ranges *in place*.  Work-group
+    independence — the contract the differential suite enforces — makes
+    those writes disjoint, so the parent's merge is one ``readback``
+    copy per buffer.
+  - **traces back**: a worker serializes its completed ``GroupTrace``
+    batch into the exact compressed raw-segment format the parent's
+    :class:`~repro.runtime.trace.TraceSpillStore` spills
+    (:func:`~repro.runtime.trace.compress_group_lists`), ships it
+    through a per-shard shared-memory segment (or the result pipe when
+    the segment cannot be created), and the parent adopts the blob
+    straight into its own spill file (``adopt_compressed``) — groups
+    rehydrate lazily, bit-identical, bounded by ``$REPRO_TRACE_SPILL_MB``.
+  - **warm workers**: each worker keeps the kernels it has unpickled,
+    keyed by payload hash under a *generation* counter derived from the
+    execution config — a config change invalidates the warm state, a
+    repeated launch of the same kernel skips the unpickle and, because
+    the kernel object persists, hits the content-keyed codegen module
+    cache and fingerprint memo from the previous task.
+
+One level of parallelism: the pool's initializer marks each worker, and
+inside a worker :func:`resolve_workers` is always 1, so a fan-out
+requested there (a matrix case launching under ``REPRO_WORKERS=2``)
+runs serially and silently instead of waiting on a pool it can never
+reach.
 
 Determinism contract (DESIGN.md §9, §17): for kernels whose work-groups
 are independent the merged result is bit-identical to a serial launch —
@@ -58,13 +66,17 @@ import time
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.parallel import pool as worker_pool
 from repro.parallel.sharding import describe_span, merge_group_traces, shard_ranges
-from repro.runtime.errors import RuntimeLaunchError
+from repro.runtime.errors import (
+    BarrierDivergenceError,
+    MemoryFault,
+    RuntimeLaunchError,
+)
 from repro.session import events
 
 #: environment default for every ``workers=None`` entry point; setting
@@ -93,6 +105,16 @@ def _observe_fallback(where: str, reason: str, error: str = "") -> None:
         )
 
 
+#: set by the pool's initializer in each worker process: fan-outs
+#: requested there run serially (one level of parallelism)
+_IN_WORKER = False
+
+
+def _enter_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+
+
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Normalise a ``workers`` argument to an ``int >= 1``.
 
@@ -101,18 +123,19 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     Anything that is not a positive integer — including bools and
     numeric strings passed programmatically — raises ``ValueError``;
     callers in the runtime wrap that into ``RuntimeLaunchError``.
+    Inside a pool worker every valid request resolves to 1.
     """
     if workers is None:
         from repro.session import current_session
 
-        return current_session().get("workers")
-    if isinstance(workers, bool) or not isinstance(workers, int):
+        workers = current_session().get("workers")
+    elif isinstance(workers, bool) or not isinstance(workers, int):
         raise ValueError(
             f"workers must be a positive integer or None, got {workers!r}"
         )
-    if workers < 1:
+    elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
+    return 1 if _IN_WORKER else workers
 
 
 def make_pool(n_workers: int) -> Optional[ProcessPoolExecutor]:
@@ -124,15 +147,16 @@ def make_pool(n_workers: int) -> Optional[ProcessPoolExecutor]:
     serially instead; the failure is reported as a ``pool_fallback``
     event (or a :class:`PoolFallbackWarning` when nobody listens).
 
-    Callers should not use this directly for fan-outs any more: go
-    through :func:`repro.parallel.pool.acquire` (passing this function,
-    or a module-local alias of it, as the factory) so the persistent
-    warm pool is reused instead of forked per call.
+    Fan-outs never call this directly: they go through
+    :func:`repro.parallel.pool.acquire` with this function as the
+    factory, so the warm pool is reused instead of forked per call.
     """
     try:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        return ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx)
+        return ProcessPoolExecutor(
+            max_workers=n_workers, mp_context=ctx, initializer=_enter_worker
+        )
     except Exception as exc:
         _observe_fallback(
             "make_pool",
@@ -140,6 +164,48 @@ def make_pool(n_workers: int) -> Optional[ProcessPoolExecutor]:
             f"{type(exc).__name__}: {exc}",
         )
         return None
+
+
+#: kernel-execution failures a serial redo would reproduce identically
+_DETERMINISTIC = (RuntimeLaunchError, MemoryFault, BarrierDivergenceError)
+
+
+def fan_out(
+    fn: Callable, payloads: Sequence, workers: Optional[int] = None
+) -> Tuple[List, Dict[int, str]]:
+    """``[fn(p) for p in payloads]``, fanned out over the shared pool.
+
+    Returns ``(results, redone)``: the results in input order, and
+    ``{index: reason}`` for every payload whose task failed for a
+    pool-infrastructure reason (broken pool, lost worker, pickling) and
+    was redone serially in the parent.  A deterministic kernel-execution
+    failure is not redone — a serial rerun would fail identically — and
+    raises :class:`RuntimeLaunchError`; ``KeyboardInterrupt`` and
+    ``SystemExit`` propagate.  The pool is used only when both the
+    resolved worker count and the payload count exceed one; ``fn`` and
+    the payloads must pickle.
+    """
+    n_workers = resolve_workers(workers)
+    pool = None
+    if min(n_workers, len(payloads)) > 1:
+        pool = worker_pool.acquire(n_workers, factory=make_pool)
+    if pool is None:
+        return [fn(p) for p in payloads], {}
+    futures = [pool.submit(fn, p) for p in payloads]
+    results: List = []
+    redone: Dict[int, str] = {}
+    for i, (payload, fut) in enumerate(zip(payloads, futures)):
+        try:
+            results.append(fut.result())
+        except _DETERMINISTIC as exc:
+            raise RuntimeLaunchError(
+                f"task {payload!r} failed deterministically "
+                f"({type(exc).__name__}: {exc}); not retrying"
+            ) from exc
+        except Exception as exc:
+            redone[i] = f"{type(exc).__name__}: {exc}"
+            results.append(fn(payload))
+    return results, redone
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +269,13 @@ def _run_shard(p: dict, kernel, lo: int, hi: int, arena) -> dict:
     Everything that holds a view into the arena lives inside this frame,
     so the caller can close the attachment the moment it returns.
     """
-    from repro.runtime.buffers import Buffer, Memory
+    from repro.runtime.buffers import Memory
     from repro.runtime.ndrange import launch
     from repro.runtime.trace import compress_group_lists
     from repro.session import Session
 
     mem = Memory()
-    before: Dict[int, np.ndarray] = {}
-    if arena is not None:
-        arena.attach_memory(mem)
-    else:
-        for buf_id in sorted(p["buffers"]):
-            nbytes, name, raw = p["buffers"][buf_id]
-            buf = Buffer(mem, buf_id, nbytes, name)
-            data = np.frombuffer(raw, dtype=np.uint8)
-            buf.data[: len(data)] = data
-            mem.buffers[buf_id] = buf
-        before = {
-            buf_id: mem.buffers[buf_id].data.copy() for buf_id in p["buffers"]
-        }
+    arena.attach_memory(mem)
     # arena allocations must consume the very ids the parent's serial
     # loop would have handed out — they appear in LOCAL trace events
     mem._next_id = p["next_id"]
@@ -231,7 +285,10 @@ def _run_shard(p: dict, kernel, lo: int, hi: int, arena) -> dict:
         for name, (kind, value) in p["args"].items()
     }
 
-    with Session(**p["cfg"]).activate():
+    # env={}: the shard config carries every execution setting, and a
+    # session read from os.environ would reopen $REPRO_TRACE_OUT and
+    # truncate the parent's event file
+    with Session(env={}, **p["cfg"]).activate():
         res = launch(
             kernel,
             p["global_size"],
@@ -262,14 +319,6 @@ def _run_shard(p: dict, kernel, lo: int, hi: int, arena) -> dict:
                 for gt in groups
             ],
         }
-    if arena is None:
-        diffs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for buf_id, prev in before.items():
-            data = mem.buffers[buf_id].data
-            changed = np.flatnonzero(data != prev)
-            if len(changed):
-                diffs[buf_id] = (changed, data[changed].copy())
-        out["diffs"] = diffs
     # break the Buffer <-> Memory cycle so arena views die with this
     # frame by refcount (not a later gc pass) and the caller's close()
     # can unmap the segment immediately
@@ -285,8 +334,8 @@ def _launch_shard(
     kernel_blob: bytes,
     kernel_sha: str,
     generation: str,
-    arena_spec: Optional[dict],
-    trace_seg_name: Optional[str],
+    arena_spec: dict,
+    trace_seg_name: str,
     shard_index: int,
     lo: int,
     hi: int,
@@ -303,21 +352,18 @@ def _launch_shard(
         p = pickle.loads(common_bytes)
         kernel, cache_hit = _warm_kernel(generation, kernel_sha, kernel_blob)
 
-        arena = None
-        if arena_spec is not None:
-            from repro.runtime.buffers import ShmArena
+        from repro.runtime.buffers import ShmArena
 
-            arena = ShmArena.attach(arena_spec)
+        arena = ShmArena.attach(arena_spec)
         try:
             out = _run_shard(p, kernel, lo, hi, arena)
         finally:
-            if arena is not None:
-                # only the view-holding frame above has returned; the
-                # parent owns the name and does the unlink
-                arena.close()
+            # only the view-holding frame above has returned; the
+            # parent owns the name and does the unlink
+            arena.close()
 
         tr = out["trace"]
-        if tr is not None and trace_seg_name is not None:
+        if tr is not None:
             blob = tr.pop("blob")
             try:
                 from multiprocessing import shared_memory
@@ -418,9 +464,9 @@ def parallel_launch(
     """Run a launch sharded over ``workers`` processes.
 
     Returns a ``LaunchResult`` bit-identical to the serial one, or
-    ``None`` when the pool or payload is unavailable (the caller then
-    falls through to its serial loop).  Worker failures mid-shard raise
-    :class:`RuntimeLaunchError` with the failing flat group range.
+    ``None`` when the pool, payload or arena is unavailable (the caller
+    then falls through to its serial loop).  Worker failures mid-shard
+    raise :class:`RuntimeLaunchError` with the failing flat group range.
     """
     from repro.runtime.buffers import Buffer, ShmArena
     from repro.runtime.ndrange import LaunchResult
@@ -440,7 +486,6 @@ def parallel_launch(
             arg_spec[name] = ("scalar", value)
 
     cfg = _shard_config(session)
-    use_shm = bool(session.get("pool_shm"))
     common = {
         "global_size": global_size,
         "local_size": local_size,
@@ -450,12 +495,6 @@ def parallel_launch(
         "sample_groups": sample_groups,
         "next_id": memory._next_id,
         "cfg": cfg,
-        "buffers": None
-        if use_shm
-        else {
-            buf_id: (buf.nbytes, buf.name, buf.data.tobytes())
-            for buf_id, buf in buffers_by_id.items()
-        },
     }
     try:
         kernel_blob = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
@@ -488,36 +527,26 @@ def parallel_launch(
         return None
 
     token = _next_token()
-    arena = None
-    if use_shm:
-        t0 = time.perf_counter()
-        try:
-            arena = ShmArena.publish(f"{token}a", buffers_by_id)
-        except Exception as exc:
-            # restricted /dev/shm: keep the launch parallel on the
-            # pickled-copy plane instead of giving up on the pool
-            _observe_fallback(
-                "shm_publish",
-                "shared-memory arena unavailable; using pickled buffers",
-                f"{type(exc).__name__}: {exc}",
-            )
-            use_shm = False
-            common["buffers"] = {
-                buf_id: (buf.nbytes, buf.name, buf.data.tobytes())
-                for buf_id, buf in buffers_by_id.items()
-            }
-            common_bytes = pickle.dumps(
-                common, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        else:
-            events.emit(
-                "shm_publish",
-                kernel=kernel.name,
-                buffers=len(buffers_by_id),
-                bytes=arena.total_bytes,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-            worker_pool.note_publish(arena.total_bytes)
+    t0 = time.perf_counter()
+    try:
+        arena = ShmArena.publish(f"{token}a", buffers_by_id)
+    except Exception as exc:
+        # the pool's own locks live in /dev/shm too, so a host that
+        # cannot publish an arena rarely got this far; run serially
+        _observe_fallback(
+            "shm_publish",
+            "shared-memory arena unavailable",
+            f"{type(exc).__name__}: {exc}",
+        )
+        return None
+    events.emit(
+        "shm_publish",
+        kernel=kernel.name,
+        buffers=len(buffers_by_id),
+        bytes=arena.total_bytes,
+        wall_ms=(time.perf_counter() - t0) * 1e3,
+    )
+    worker_pool.note_publish(arena.total_bytes)
 
     events.emit(
         "launch_sharded",
@@ -526,7 +555,7 @@ def parallel_launch(
         workers=workers,
     )
 
-    arena_spec = arena.spec() if arena is not None else None
+    arena_spec = arena.spec()
     store = None
     try:
         futures = [
@@ -538,7 +567,7 @@ def parallel_launch(
                     kernel_sha,
                     generation,
                     arena_spec,
-                    f"{token}t{i}" if use_shm else None,
+                    f"{token}t{i}",
                     i,
                     lo,
                     hi,
@@ -600,10 +629,9 @@ def parallel_launch(
             )
             worker_pool.note_task(r["pid"], r.get("kernel_cache_hit"))
 
-        # canonical-order merge: traces reassembled in shard order; under
-        # shm the buffer merge is the arena readback (shards wrote their
-        # owned ranges in place), otherwise diffs apply in shard order,
-        # matching serial last-writer-wins
+        # canonical-order merge: traces reassembled in shard order; the
+        # buffer merge is the arena readback (shards wrote their owned
+        # ranges in place)
         trace = None
         if collect_trace:
             store = TraceSpillStore(
@@ -614,12 +642,7 @@ def parallel_launch(
                 [(r["shard"], _adopt_shard_trace(store, r["trace"])) for r in results]
             )
             trace = KernelTrace(groups, total_groups, local_size, global_size)
-        if arena is not None:
-            arena.readback(memory.buffers)
-        else:
-            for r in results:
-                for buf_id, (idx, vals) in r["diffs"].items():
-                    memory.buffers[buf_id].data[idx] = vals
+        arena.readback(memory.buffers)
         # every worker allocated the same arena sequence; keep the
         # parent's id counter where a serial launch would have left it
         memory._next_id = max(
@@ -637,9 +660,6 @@ def parallel_launch(
             store.close()
         raise
     finally:
-        if arena is not None:
-            arena.close()
-            arena.unlink()
-        if use_shm:
-            _sweep_trace_segments(token, len(ranges))
-        pool.release()
+        arena.close()
+        arena.unlink()
+        _sweep_trace_segments(token, len(ranges))

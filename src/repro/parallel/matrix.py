@@ -3,17 +3,19 @@
 The experiment matrix — Table IV, Fig. 10, the extension-GPU scoring —
 is embarrassingly parallel: traces are device-independent, so the unit
 of work is one *application* (both variants traced once, then scored on
-every requested device).  ``run_matrix`` fans those cases out over the
-process-wide warm pool (:mod:`repro.parallel.pool`); each case is
-computed shared-nothing from its arguments, but the worker *processes*
-persist across calls, so a worker's compile and codegen caches stay
-warm between cases and between consecutive matrices.  The parent
-assembles the grid in the deterministic ``apps``/``devices`` input
-order, so serial and parallel results are bit-identical floats.
+every requested device).  ``run_matrix`` maps those cases over the
+process-wide warm pool with :func:`repro.parallel.engine.fan_out`; each
+case is computed shared-nothing from its arguments, but the worker
+*processes* persist across calls, so a worker's compile and codegen
+caches stay warm between cases and between consecutive matrices.  A
+case runs its own launches serially inside its worker (one level of
+parallelism), whatever ``$REPRO_WORKERS`` says.  The parent assembles
+the grid in the deterministic ``apps``/``devices`` input order, so
+serial and parallel results are bit-identical floats.
 
 A case whose worker dies of *pool infrastructure* trouble (broken
-pool, lost worker, pickling) is retried serially in the parent
-(``retries`` per case, default 1) — one bad fork never loses the
+pool, lost worker, pickling) is recomputed once serially in the parent
+and listed in ``MatrixResult.retried`` — one bad fork never loses the
 matrix.  Deterministic kernel-execution failures
 (:class:`RuntimeLaunchError`, :class:`MemoryFault`,
 :class:`BarrierDivergenceError`) are *not* retried — a serial rerun
@@ -28,19 +30,14 @@ serial loop.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.parallel import pool as worker_pool
-from repro.parallel.engine import make_pool, resolve_workers
-from repro.runtime.errors import (
-    BarrierDivergenceError,
-    MemoryFault,
-    RuntimeLaunchError,
-)
+from repro.parallel.engine import fan_out, resolve_workers
 from repro.session import events
 
 #: classification threshold of the paper's Table IV (±5 %)
@@ -53,7 +50,7 @@ def _matrix_case(
     """One case: trace both variants of ``app_id``, score every device.
 
     Runs identically in a worker process and in the parent (the serial
-    path and the per-case retry), which is what makes the differential
+    path and the per-case redo), which is what makes the differential
     comparison exact.
     """
     from repro.experiments import normalized_perf
@@ -102,7 +99,6 @@ def run_matrix(
     devices: Optional[Sequence[str]] = None,
     workers: Optional[int] = None,
     scale: str = "bench",
-    retries: int = 1,
 ) -> MatrixResult:
     """Score ``apps`` × ``devices`` with ``workers`` parallel cases.
 
@@ -134,47 +130,15 @@ def run_matrix(
         workers=n_workers,
     )
 
-    per_app: Dict[str, Dict[str, float]] = {}
-    pool = worker_pool.acquire(
-        min(n_workers, len(app_ids)), factory=make_pool
-    ) if (n_workers > 1 and len(app_ids) > 1) else None
-    if pool is not None:
-        try:
-            futures = {
-                app_id: pool.submit(_matrix_case, app_id, dev_names, scale)
-                for app_id in app_ids
-            }
-            for app_id in app_ids:  # input order, not completion order
-                try:
-                    _, vals = futures[app_id].result()
-                except (RuntimeLaunchError, MemoryFault, BarrierDivergenceError) as exc:
-                    # deterministic kernel-execution failure: a serial
-                    # retry would fail identically — surface it instead
-                    # of burning a retry on it
-                    raise RuntimeLaunchError(
-                        f"matrix case {app_id!r} failed deterministically "
-                        f"({type(exc).__name__}: {exc}); not retrying"
-                    ) from exc
-                except Exception as exc:
-                    # pool infrastructure failure (broken pool, lost
-                    # worker, pickling): recompute serially in the parent;
-                    # KeyboardInterrupt/SystemExit propagate untouched
-                    if retries <= 0:
-                        raise
-                    result.retried[app_id] = f"{type(exc).__name__}: {exc}"
-                    events.emit(
-                        "matrix_case_retried",
-                        app=app_id,
-                        reason=result.retried[app_id],
-                    )
-                    _, vals = _matrix_case(app_id, dev_names, scale)
-                per_app[app_id] = vals
-        finally:
-            pool.release()
-    else:
-        for app_id in app_ids:
-            _, vals = _matrix_case(app_id, dev_names, scale)
-            per_app[app_id] = vals
+    cases, redone = fan_out(
+        functools.partial(_matrix_case, devices=dev_names, scale=scale),
+        app_ids,
+        n_workers,
+    )
+    per_app: Dict[str, Dict[str, float]] = dict(cases)
+    for i, reason in redone.items():
+        result.retried[app_ids[i]] = reason
+        events.emit("matrix_case_retried", app=app_ids[i], reason=reason)
 
     events.emit(
         "matrix_end",

@@ -1,30 +1,25 @@
 """The process-wide persistent worker pool.
 
 Every fan-out in the system — sharded launches, the experiment matrix,
-search candidate scoring, tune labeling, fuzz campaigns — used to build
-its own ``ProcessPoolExecutor`` and tear it down per call, paying the
-fork plus a cold interpreter in every worker each time.  This module
-owns **one** warm pool for the whole process: the first fan-out forks
-it, later fan-outs reuse the same worker processes (and everything warm
-inside them: unpickled kernels, the codegen module cache, on-disk
-artifact handles), and it is torn down when the session that first
-acquired it closes — or at interpreter exit, whichever comes first.
+search candidate scoring, tune labeling, fuzz campaigns — runs on the
+**one** warm pool this module owns for the whole process: the first
+fan-out forks it, later fan-outs reuse the same worker processes (and
+everything warm inside them: unpickled kernels, the codegen module
+cache, on-disk artifact handles), and it is torn down when the session
+that first acquired it closes — or at interpreter exit, whichever comes
+first.  Workers never fan out themselves (see
+:func:`repro.parallel.engine.resolve_workers`).
 
-``acquire(n, factory)`` hands out a :class:`WorkerPool` handle:
-
-* with ``pool_persist`` (``$REPRO_POOL_PERSIST``, default on) the handle
-  wraps the shared executor; ``release()`` is a no-op.  The pool is
-  recycled — old executor shut down, a fresh one forked, a
-  ``pool_recycle`` event emitted — when it is broken (a worker died),
-  too small for the request, or the factory changed (tests monkeypatch
-  their module's ``make_pool``).
-* with ``pool_persist=0`` the handle owns a private executor and
-  ``release()`` shuts it down — the pre-pool behaviour.
-
-``factory`` is the *caller's* ``make_pool`` reference so the
-``pool_fallback`` observability (and the test doubles patched over it)
-keep working unchanged; a factory returning ``None`` makes ``acquire``
-return ``None`` and the caller falls back to its serial loop.
+``acquire(n, factory)`` hands out the shared :class:`WorkerPool`.  The
+pool is recycled — old executor shut down, a fresh one forked, a
+``pool_recycle`` event emitted — when it is broken (a worker died), too
+small for the request, or the factory changed (tests monkeypatch
+``repro.parallel.engine.make_pool``).  ``factory`` is looked up by the
+caller at call time so the ``pool_fallback`` observability (and the
+test doubles patched over it) keep working; a factory returning
+``None`` makes ``acquire`` return ``None`` and the caller runs
+serially.  Callers never release the pool: it lives until its owner
+closes.
 
 The module also keeps the fan-out statistics the bench reports:
 tasks dispatched, shared-memory bytes published, and per-worker warm
@@ -45,13 +40,11 @@ __all__ = ["WorkerPool", "acquire", "shutdown_shared", "session_closed",
 
 
 class WorkerPool:
-    """Handle around one executor; persistent handles share it."""
+    """Handle around the shared executor."""
 
-    def __init__(self, executor, n_workers: int, persistent: bool,
-                 factory: Callable) -> None:
+    def __init__(self, executor, n_workers: int, factory: Callable) -> None:
         self._executor = executor
         self.n_workers = n_workers
-        self.persistent = persistent
         self.factory = factory
 
     def submit(self, fn, *args, **kwargs):
@@ -67,18 +60,13 @@ class WorkerPool:
         """Pids of the live worker processes (empty before first task)."""
         return tuple(sorted(getattr(self._executor, "_processes", {}) or ()))
 
-    def release(self) -> None:
-        """Caller is done with this fan-out; persistent pools stay warm."""
-        if not self.persistent:
-            self._shutdown()
-
     def _shutdown(self) -> None:
         shutdown = getattr(self._executor, "shutdown", None)
         if shutdown is not None:
             shutdown(wait=True, cancel_futures=True)
 
 
-#: the shared pool (persistent mode), created by the first fan-out
+#: the shared pool, created by the first fan-out
 _SHARED: Optional[WorkerPool] = None
 #: weakref to the Session whose close() tears the shared pool down
 _OWNER: Optional["weakref.ref"] = None
@@ -126,12 +114,6 @@ def note_publish(nbytes: int) -> None:
     _STATS["shm_bytes_published"] += int(nbytes)
 
 
-def _persist_default() -> bool:
-    from repro.session import current_session
-
-    return bool(current_session().get("pool_persist"))
-
-
 def _claim_owner() -> None:
     """The first session to acquire the shared pool owns its teardown."""
     global _OWNER
@@ -142,19 +124,10 @@ def _claim_owner() -> None:
     _OWNER = weakref.ref(current_session())
 
 
-def acquire(n_workers: int, factory: Callable,
-            persist: Optional[bool] = None) -> Optional[WorkerPool]:
-    """A pool handle sized for ``n_workers``, or ``None`` (serial fallback,
-    already observed by ``factory``)."""
+def acquire(n_workers: int, factory: Callable) -> Optional[WorkerPool]:
+    """The shared pool, sized for at least ``n_workers``, or ``None``
+    (serial fallback, already observed by ``factory``)."""
     global _SHARED, _ATEXIT_REGISTERED
-    if persist is None:
-        persist = _persist_default()
-    if not persist:
-        executor = factory(n_workers)
-        if executor is None:
-            return None
-        return WorkerPool(executor, n_workers, persistent=False, factory=factory)
-
     pool = _SHARED
     if pool is not None:
         reason = None
@@ -174,7 +147,7 @@ def acquire(n_workers: int, factory: Callable,
     executor = factory(n_workers)
     if executor is None:
         return None
-    _SHARED = WorkerPool(executor, n_workers, persistent=True, factory=factory)
+    _SHARED = WorkerPool(executor, n_workers, factory=factory)
     _claim_owner()
     if not _ATEXIT_REGISTERED:
         atexit.register(shutdown_shared)

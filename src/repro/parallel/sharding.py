@@ -7,8 +7,8 @@ order *regardless of the order workers finished in*.  Keeping this
 logic free of pool mechanics is what makes it property-testable
 (``tests/test_parallel_merge_properties.py`` fuzzes it over seeds).
 
-Under the shared-memory plane (``pool_shm``, DESIGN.md §17) only traces
-still need this order-restoring merge: shards write their owned output
+On the shared-memory plane (DESIGN.md §17) only traces still need this
+order-restoring merge: shards write their owned output
 ranges directly into the published arena, so the buffer "merge" is a
 single readback copy — a no-op reassembly of views, not a per-shard
 diff application.

@@ -33,10 +33,10 @@ queue — the verification gates above run unchanged on every winner.
 
 Everything is deterministic: rule applications are deterministic, the
 interpreter and models are deterministic, candidates are generated and
-ranked in a fixed order, and the process-pool fan-out (borrowed from the
-fuzz runner) gathers results in submission order — so the winning
-pipeline is byte-identical across worker counts and repeated processes
-(pinned by ``tests/test_search_determinism.py``).
+ranked in a fixed order, and the process-pool fan-out
+(:func:`repro.parallel.engine.fan_out`) gathers results in input order
+— so the winning pipeline is byte-identical across worker counts and
+repeated processes (pinned by ``tests/test_search_determinism.py``).
 
 Exposed on the command line as ``repro search``::
 
@@ -51,8 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.parallel import pool as worker_pool
-from repro.parallel.engine import make_pool, resolve_workers
+from repro.parallel.engine import fan_out, resolve_workers
 from repro.session import events
 
 __all__ = [
@@ -225,33 +224,9 @@ def evaluate_pipeline(
 
 
 def _eval_one(payload: Tuple[str, Tuple[str, ...], str, int, str]) -> CandidateEval:
-    """In-process evaluator (serial path and pool-failure fallback)."""
+    """Evaluate one candidate payload (pool task and serial path)."""
     app_id, pipeline, scale, sample_groups, device_name = payload
     return evaluate_pipeline(app_id, pipeline, scale, sample_groups, device_name)
-
-
-def _eval_in_worker(payload) -> CandidateEval:
-    """Pool-child evaluator: drop event sinks inherited over ``fork`` so
-    children never write into the parent's JSONL stream."""
-    events.bus()._sinks.clear()
-    return _eval_one(payload)
-
-
-def _fan_out(payloads: List[Tuple], pool) -> List[CandidateEval]:
-    """Evaluate payloads (pool when available, else serially), returning
-    results in input order — the determinism contract."""
-    if pool is None:
-        return [_eval_one(p) for p in payloads]
-    results: List[CandidateEval] = []
-    futures = [pool.submit(_eval_in_worker, p) for p in payloads]
-    for payload, fut in zip(payloads, futures):
-        try:
-            results.append(fut.result())
-        except Exception:
-            # pool infrastructure died (evaluate_pipeline itself never
-            # raises): redo this candidate serially
-            results.append(_eval_one(payload))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +339,7 @@ def _resolved(options: SearchOptions) -> Tuple[Tuple[str, ...], int, int, int, s
     return rules, int(beam), int(depth), int(sample_groups), str(device_name)
 
 
-def search_app(app_id: str, options: SearchOptions, pool=None) -> AppSearchResult:
+def search_app(app_id: str, options: SearchOptions) -> AppSearchResult:
     """Beam-search one application; see the module docstring."""
     from repro.rules import get_rule
 
@@ -473,7 +448,10 @@ def search_app(app_id: str, options: SearchOptions, pool=None) -> AppSearchResul
             extensions = to_eval
             if not extensions:
                 break
-        evals = _fan_out([payload(p) for p in extensions], pool)
+        # results come back in input order: the determinism contract
+        evals, _ = fan_out(
+            _eval_one, [payload(p) for p in extensions], options.workers
+        )
         scored_all.extend(evals)
         kept: List[CandidateEval] = []
         for ev in evals:
@@ -551,19 +529,11 @@ def run_search(options: SearchOptions) -> SearchRunResult:
 
     t0 = time.perf_counter()
     apps = tuple(options.apps) or tuple(a.id for a in table_apps())
-    n_workers = resolve_workers(options.workers)
-    pool = (
-        worker_pool.acquire(n_workers, factory=make_pool)
-        if n_workers > 1
-        else None
+    run = SearchRunResult(
+        options=options, workers=resolve_workers(options.workers)
     )
-    run = SearchRunResult(options=options, workers=n_workers)
-    try:
-        for app_id in apps:
-            run.results.append(search_app(app_id, options, pool))
-    finally:
-        if pool is not None:
-            pool.release()
+    for app_id in apps:
+        run.results.append(search_app(app_id, options))
     run.wall_s = time.perf_counter() - t0
     return run
 

@@ -154,25 +154,6 @@ _VARS = (
         "experiment matrix; 1 forces serial execution everywhere.",
     ),
     ConfigVar(
-        name="pool_persist",
-        env="REPRO_POOL_PERSIST",
-        type="bool",
-        default=True,
-        doc="Keep one warm worker pool alive across launches, the "
-        "experiment matrix, search scoring, tune labeling and fuzz "
-        "sharding (0 reverts to a fresh pool per fan-out).",
-    ),
-    ConfigVar(
-        name="pool_shm",
-        env="REPRO_POOL_SHM",
-        type="bool",
-        default=True,
-        doc="Publish launch buffers into POSIX shared memory so worker "
-        "shards attach zero-copy views and write their owned output "
-        "ranges in place (0 reverts to the pickled-copy + sparse-diff "
-        "plane; use it for kernels whose work-groups overlap writes).",
-    ),
-    ConfigVar(
         name="compile_cache_size",
         env="REPRO_COMPILE_CACHE_SIZE",
         type="int",

@@ -18,10 +18,11 @@ Every event kind carries a declared payload schema in :data:`EVENT_SCHEMA`;
 :func:`validate_event` / :func:`validate_jsonl` check conformance (the CI
 smoke job validates an emitted trace end to end).
 
-Fork safety: the bus records the attaching process id and goes inactive in
-forked workers, so a sharded launch never interleaves worker writes into
-the parent's JSONL stream (worker-side stages are reported by the parent
-as ``launch_sharded`` / shard summaries instead).
+Fork safety: every forked child starts with an empty sink list
+(``os.register_at_fork``), so a pool worker never writes into the
+parent's JSONL stream or collectors, even after attaching sinks of its
+own (worker-side stages are reported by the parent as
+``launch_sharded`` / shard summaries instead).
 """
 
 from __future__ import annotations
@@ -412,20 +413,18 @@ class EventBus:
     """Process-wide dispatcher: ``emit`` fans a typed event to every sink.
 
     Inactive (zero-cost apart from one predicate) when no sink is
-    attached or when running in a forked child of the attaching process.
+    attached.  A forked child starts with no sinks (see below).
     """
 
     def __init__(self) -> None:
         self._sinks: List[Callable[[Event], None]] = []
         self._seq = 0
-        self._pid = os.getpid()
 
     @property
     def active(self) -> bool:
-        return bool(self._sinks) and os.getpid() == self._pid
+        return bool(self._sinks)
 
     def attach(self, sink: Callable[[Event], None]) -> Callable[[Event], None]:
-        self._pid = os.getpid()
         self._sinks.append(sink)
         return sink
 
@@ -445,6 +444,11 @@ class EventBus:
 
 #: the process-wide bus every layer emits into
 _BUS = EventBus()
+
+# a forked child (a pool worker) must never write into the parent's
+# sinks — its JSONL file handle, its collectors — even once the child
+# attaches a sink of its own
+os.register_at_fork(after_in_child=_BUS._sinks.clear)
 
 
 def bus() -> EventBus:

@@ -18,8 +18,8 @@ Three example sources, tagged so training can hold sources out:
   seeded explicitly so every rerun labels the identical set.
 
 Labeling fans out over the shared process pool
-(:func:`repro.parallel.engine.make_pool`), one task per kernel, results
-gathered in submission order — the label stream is byte-identical
+(:func:`repro.parallel.engine.fan_out`), one task per kernel, results
+gathered in input order — the label stream is byte-identical
 across worker counts and repeated processes (pinned by
 ``tests/test_tune_determinism.py``).  Kernels whose baseline execution
 fails are skipped whole; a candidate whose transformed execution fails
@@ -222,12 +222,6 @@ def _label_one(payload) -> List[dict]:
     return _label_source_task(payload)
 
 
-def _label_in_worker(payload) -> List[dict]:
-    """Pool-child entry: drop event sinks inherited over ``fork``."""
-    events.bus()._sinks.clear()
-    return _label_one(payload)
-
-
 # ---------------------------------------------------------------------------
 # the labeling run
 # ---------------------------------------------------------------------------
@@ -292,35 +286,15 @@ def label_corpus(
 ) -> List[LabeledExample]:
     """Run the oracle over every requested source; returns examples in
     deterministic (payload, pipeline, device) order."""
-    from repro.parallel import pool as worker_pool
-    from repro.parallel.engine import make_pool
+    from repro.parallel.engine import fan_out
 
     pipelines = enumerate_pipelines(rules, depth)
     payloads = _payloads(
         tuple(sources), pipelines, scale, sample_groups, tuple(devices),
         fuzz_seed, fuzz_count, apps,
     )
-    pool = (
-        worker_pool.acquire(workers, factory=make_pool)
-        if workers > 1
-        else None
-    )
-    rows: List[dict] = []
-    try:
-        if pool is None:
-            for p in payloads:
-                rows.extend(_label_one(p))
-        else:
-            futures = [pool.submit(_label_in_worker, p) for p in payloads]
-            for p, fut in zip(payloads, futures):
-                try:
-                    rows.extend(fut.result())
-                except Exception:
-                    # pool infrastructure died: redo this kernel serially
-                    rows.extend(_label_one(p))
-    finally:
-        if pool is not None:
-            pool.release()
+    per_kernel, _ = fan_out(_label_one, payloads, workers)
+    rows = [r for kernel_rows in per_kernel for r in kernel_rows]
 
     out: List[LabeledExample] = []
     for r in rows:

@@ -172,10 +172,11 @@ def test_launch_lets_interrupts_propagate(monkeypatch, exc_type):
 
 
 def _run_small_matrix(monkeypatch, exc):
+    import repro.parallel.engine as engine
     import repro.parallel.matrix as matrix
     from repro.perf.devices import CPU_DEVICES
 
-    monkeypatch.setattr(matrix, "make_pool", lambda n: _FakePool(exc))
+    monkeypatch.setattr(engine, "make_pool", lambda n: _FakePool(exc))
     dev = next(iter(CPU_DEVICES))
     return matrix.run_matrix(
         apps=["AMD-MM", "AMD-MT"], devices=[dev], workers=2, scale="test"

@@ -47,8 +47,6 @@ def test_registry_covers_every_historical_env_var():
         "REPRO_CODEGEN_CACHE_DIR",
         "REPRO_TUNE_MODEL",
         "REPRO_TUNE_THRESHOLD",
-        "REPRO_POOL_PERSIST",
-        "REPRO_POOL_SHM",
     }
     # name <-> env spelling is a bijection
     assert len(REGISTRY) == len(ENV_REGISTRY)
@@ -67,6 +65,10 @@ def test_describe_registry_mentions_every_var():
 def test_unknown_repro_env_var_rejected_at_construction():
     with pytest.raises(ConfigError, match="REPRO_PREF_MEMO"):
         Session(env={"REPRO_PREF_MEMO": "0"})
+    # the retired pool switches are unknown names now, not silently ignored
+    for retired in ("REPRO_POOL_SHM", "REPRO_POOL_PERSIST"):
+        with pytest.raises(ConfigError, match=retired):
+            Session(env={retired: "0"})
     # non-REPRO names are not our business
     validate_environ({"PATH": "/bin", "REPROBE": "x"})
 

@@ -19,10 +19,11 @@ import pytest
 from repro.session import Session, collect, validate_jsonl
 from repro.session.events import (
     EVENT_SCHEMA,
-    EventBus,
     EventSchemaError,
     JsonlSink,
+    attach,
     bus_active,
+    detach,
     emit,
     validate_event,
 )
@@ -67,12 +68,50 @@ def test_seq_is_monotonic_per_bus():
 
 
 def test_forked_child_bus_goes_inactive():
-    b = EventBus()
-    b.attach(lambda e: None)
-    assert b.active
-    b._pid = os.getpid() + 1  # simulate being a forked child
-    assert not b.active
-    b.emit("grover_start", kernel="k")  # must be a silent no-op
+    """A forked child starts with no sinks: the parent's sink is never
+    called there, not even after the child attaches a sink of its own."""
+    inherited = []
+    sink = attach(inherited.append)
+    try:
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            ok = not bus_active()
+            own = []
+            attach(own.append)
+            emit("grover_start", kernel="child")
+            ok = ok and len(own) == 1 and not inherited
+            os.write(write_fd, b"1" if ok else b"0")
+            os._exit(0)
+        os.close(write_fd)
+        verdict = os.read(read_fd, 1)
+        os.close(read_fd)
+        os.waitpid(pid, 0)
+    finally:
+        detach(sink)
+    assert verdict == b"1"
+
+
+def test_pool_workers_leave_the_parents_trace_alone(tmp_path, monkeypatch):
+    """With ``$REPRO_TRACE_OUT`` set, a sharded launch's workers must
+    neither reopen (truncate) the parent's JSONL file nor write their
+    own events into it: the file holds exactly the parent's stream."""
+    from repro.apps.harness import compile_app, execute_app
+    from repro.apps.registry import get_app
+
+    path = str(tmp_path / "ev.jsonl")
+    monkeypatch.setenv("REPRO_TRACE_OUT", path)
+    app = get_app("NVD-MT")
+    with Session(trace_out=path), collect() as sink:
+        kernel, report = compile_app(app, "with")
+        execute_app(
+            app, kernel, variant="with", scale="test",
+            collect_trace=True, workers=2, report=report,
+        )
+    assert "launch_sharded" in sink.kinds()
+    assert validate_jsonl(path) == len(sink.events)
+    with open(path) as fh:
+        assert [json.loads(line)["kind"] for line in fh] == sink.kinds()
 
 
 def test_collector_helpers():

@@ -3,12 +3,12 @@
 Three contracts:
 
 * **bit-identity** — every Table III app, both variants, produces the
-  same traces and output bytes whether buffers travel through the
-  shared-memory arena (``pool_shm=1``) or the historical pickled-copy
-  plane (``pool_shm=0``), enforced through :mod:`repro.parallel.diff`;
+  same traces and output bytes sharded through the shared-memory arena
+  as serially, enforced through :mod:`repro.parallel.diff`;
 * **hygiene** — no ``/dev/shm`` segment and no spill fd survives a
-  launch on any exit path: success, a worker faulting mid-shard, or a
-  ``KeyboardInterrupt`` landing in the gather loop;
+  launch on any exit path: success, a worker faulting mid-shard, a
+  ``KeyboardInterrupt`` landing in the gather loop, or an arena that
+  cannot be published (the launch then runs serially);
 * **reuse** — search scoring and tune labeling ride the persistent
   pool and reproduce their serial results bit-for-bit.
 """
@@ -27,7 +27,7 @@ from repro.parallel import pool as worker_pool
 from repro.parallel.diff import assert_outputs_equal, assert_traces_equal
 from repro.runtime import Memory, launch
 from repro.runtime.errors import RuntimeLaunchError
-from repro.session import Session, events
+from repro.session import events
 
 _SOURCE = r"""
 __kernel void copy(__global float* out, __global const float* in)
@@ -63,41 +63,32 @@ def _launch_with(source, workers, groups=4, lsize=8):
 
 
 # ---------------------------------------------------------------------------
-# bit-identity: both planes, all apps, both variants
+# bit-identity: all apps, both variants
 # ---------------------------------------------------------------------------
 
 
 WORKER_COUNTS = (2, 4)
 
 
-@pytest.mark.parametrize("shm", (0, 1), ids=("pickled-plane", "shm-plane"))
-@pytest.mark.parametrize("app_id", TABLE_ORDER)
-def test_apps_bit_identical_under_both_planes(app_id, shm):
+@pytest.mark.parametrize(
+    "app_id", [pytest.param(a, id=f"{a}-shm-plane") for a in TABLE_ORDER]
+)
+def test_apps_bit_identical_under_both_planes(app_id):
     app = get_app(app_id)
-    with Session(pool_shm=bool(shm)).activate():
-        for variant in ("with", "without"):
-            kernel, report = compile_app(app, variant)
-            serial = execute_app(
+    for variant in ("with", "without"):
+        kernel, report = compile_app(app, variant)
+        serial = execute_app(
+            app, kernel, variant=variant, scale="test",
+            collect_trace=True, report=report,
+        )
+        for workers in WORKER_COUNTS:
+            parallel = execute_app(
                 app, kernel, variant=variant, scale="test",
-                collect_trace=True, report=report,
+                collect_trace=True, workers=workers, report=report,
             )
-            for workers in WORKER_COUNTS:
-                parallel = execute_app(
-                    app, kernel, variant=variant, scale="test",
-                    collect_trace=True, workers=workers, report=report,
-                )
-                ctx = f"{app_id}[{variant}] pool_shm={shm} workers={workers}"
-                assert_traces_equal(serial.trace, parallel.trace, ctx)
-                assert_outputs_equal(serial.outputs, parallel.outputs, ctx)
-
-
-def test_both_planes_agree_with_each_other():
-    """The escape hatch is not a different semantics: identical bytes."""
-    with Session(pool_shm=True).activate():
-        _, out_shm = _launch_with(_SOURCE, workers=2)
-    with Session(pool_shm=False).activate():
-        _, out_pickle = _launch_with(_SOURCE, workers=2)
-    np.testing.assert_array_equal(out_shm, out_pickle)
+            ctx = f"{app_id}[{variant}] workers={workers}"
+            assert_traces_equal(serial.trace, parallel.trace, ctx)
+            assert_outputs_equal(serial.outputs, parallel.outputs, ctx)
 
 
 def test_shm_launch_emits_plane_events():
@@ -110,20 +101,6 @@ def test_shm_launch_emits_plane_events():
     assert len(tasks) == 2  # one per shard
     assert sorted(t.payload["shard"] for t in tasks) == [0, 1]
     assert all(t.payload["groups"] == 2 for t in tasks)
-
-
-def test_pickled_plane_skips_shm_entirely(monkeypatch):
-    """``pool_shm=0`` must not touch ``/dev/shm`` at all — it is the
-    escape hatch for hosts where POSIX shared memory is restricted."""
-    from multiprocessing import shared_memory
-
-    def forbidden(*a, **k):
-        raise AssertionError("pool_shm=0 must not create shm segments")
-
-    with Session(pool_shm=False).activate():
-        monkeypatch.setattr(shared_memory.SharedMemory, "__init__", forbidden)
-        _, out = _launch_with(_SOURCE, workers=2)
-    np.testing.assert_array_equal(out, np.arange(32, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +175,32 @@ def test_no_segments_or_fds_leak_after_interrupt(monkeypatch):
     # the pool survived the interrupt and still serves launches
     _, out = _launch_with(_SOURCE, workers=2)
     np.testing.assert_array_equal(out, np.arange(32, dtype=np.float32))
+
+
+def test_arena_publish_failure_runs_serially(monkeypatch):
+    """A host whose ``/dev/shm`` refuses the arena: the launch falls back
+    to the serial loop — observably, bit-identically, leaving nothing."""
+    from repro.runtime.buffers import ShmArena
+
+    _warm()
+    serial_res, serial_out = _launch_with(_SOURCE, workers=1)
+    shm_before, fds_before = _dev_shm(), _open_fds()
+
+    def refuse(cls, name, buffers):
+        raise PermissionError(f"no shared memory for {name}")
+
+    monkeypatch.setattr(ShmArena, "publish", classmethod(refuse))
+    with events.collect() as sink:
+        res, out = _launch_with(_SOURCE, workers=2)
+    fallbacks = sink.of_kind("pool_fallback")
+    assert [f.payload["where"] for f in fallbacks] == ["shm_publish"]
+    assert "PermissionError" in fallbacks[0].payload["error"]
+    assert not sink.of_kind("launch_sharded")
+    np.testing.assert_array_equal(out, serial_out)
+    assert_traces_equal(serial_res.trace, res.trace, "publish-failure launch")
+    del res, serial_res
+    assert _dev_shm() == shm_before
+    assert _open_fds() <= fds_before
 
 
 # ---------------------------------------------------------------------------

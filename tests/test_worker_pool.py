@@ -3,8 +3,8 @@
 Worker processes must survive across fan-outs — consecutive matrices,
 fuzz campaigns and sharded launches reuse the *same pids* instead of
 forking a pool per call — and the pool must recycle itself when a
-worker dies, grow for wider fan-outs, honour ``pool_persist=0``, and
-be torn down by the session that first acquired it.
+worker dies, grow for wider fan-outs, and be torn down by the session
+that first acquired it.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def test_pool_recycles_after_worker_death():
 
 def test_pool_grows_for_wider_fanout():
     p2 = worker_pool.acquire(2, factory=make_pool)
-    assert p2 is not None and p2.persistent
+    assert p2 is not None
     with events.collect() as sink:
         p4 = worker_pool.acquire(4, factory=make_pool)
     assert p4 is not None and p4.n_workers == 4
@@ -172,21 +172,8 @@ def test_factory_change_recycles():
 
 
 # ---------------------------------------------------------------------------
-# persistence switch and ownership
+# ownership
 # ---------------------------------------------------------------------------
-
-
-def test_persist_off_is_ephemeral():
-    with Session(pool_persist=False).activate():
-        kernel = compile_kernel(_SOURCE)
-        out = _launch_copy(kernel, workers=2)
-        np.testing.assert_array_equal(out, np.arange(32, dtype=np.float32))
-        assert worker_pool._SHARED is None  # nothing kept warm
-
-        pool = worker_pool.acquire(2, factory=make_pool)
-        assert pool is not None and not pool.persistent
-        pool.release()  # ephemeral: release is a real shutdown
-        assert worker_pool._SHARED is None
 
 
 def test_owning_session_close_tears_down_pool():
@@ -215,3 +202,55 @@ def test_pool_start_event_emitted_once_per_pool():
     starts = sink.of_kind("pool_start")
     assert len(starts) == 1
     assert starts[0].payload["workers"] == 2
+
+
+# ---------------------------------------------------------------------------
+# one level of parallelism
+# ---------------------------------------------------------------------------
+
+_NESTED_MATRIX = r"""
+import json, sys, warnings
+from repro.parallel.engine import PoolFallbackWarning
+from repro.parallel.matrix import run_matrix
+from repro.session import Session
+
+warnings.simplefilter("error", PoolFallbackWarning)
+apps = ["NVD-MT", "PAB-ST"]
+with Session(env={}, workers=2):
+    nested = run_matrix(apps=apps, scale="test")
+serial = run_matrix(apps=apps, scale="test", workers=1)
+json.dump({"nested": nested.values, "serial": serial.values,
+           "workers": nested.workers, "retried": nested.retried}, sys.stdout)
+"""
+
+
+def test_session_workers_inside_matrix_cases_run_serially():
+    """A session-level worker count reaches every launch a matrix case
+    makes inside its pool worker; that nested fan-out must run serially
+    and silently (a fallback warning, escalated to an error here, would
+    surface as a retried case) instead of waiting forever on the pool."""
+    import json
+    import subprocess
+    import sys
+
+    def segments():
+        return {n for n in os.listdir("/dev/shm") if n.startswith("repro-")}
+
+    before = segments()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _NESTED_MATRIX],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the workers too
+        proc.communicate()
+        pytest.fail("matrix under Session(workers=2) hung")
+    assert proc.returncode == 0, err.decode()
+    got = json.loads(out)
+    assert got["workers"] == 2 and got["retried"] == {}
+    assert got["nested"] == got["serial"]
+    assert segments() - before == set()
