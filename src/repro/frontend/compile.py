@@ -9,9 +9,10 @@ and emits ``compile_start`` / ``compile_cache_hit`` /
 ``compile_cache_miss`` / ``compile_end`` events.
 
 Because downstream passes (notably :class:`repro.core.GroverPass`)
-mutate IR in place, every cache hit hands out a ``deepcopy`` of the
-cached module — callers own their module, exactly as if it had been
-compiled fresh.
+mutate IR in place, every cache hit hands out a structural clone of the
+cached module (:meth:`repro.ir.function.Module.clone`: same instruction
+ids, names and use-list order, nothing shared but the frozen types) —
+callers own their module, exactly as if it had been compiled fresh.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ir.instructions import Instruction
 from repro.ir.types import ArrayType, PointerType, Type, VOID
-from repro.ir.values import Argument, LocalArray, Value
+from repro.ir.values import Argument, Constant, LocalArray, Value
 
 _block_ids = itertools.count()
 
@@ -120,6 +120,17 @@ class Function:
                 return la
         raise KeyError(f"no local array named {name!r} in {self.name}")
 
+    def clone(self) -> "Function":
+        """A structurally identical, fully unshared copy of this function.
+
+        Instruction ids, block and value names and the order of every use
+        list are preserved; types and enums are shared (they are frozen).
+        """
+        cloner = _Cloner()
+        new = cloner.function(self)
+        cloner.finish()
+        return new
+
     def __repr__(self) -> str:  # pragma: no cover
         kind = "kernel" if self.is_kernel else "func"
         return f"<{kind} {self.name} ({len(self.blocks)} blocks)>"
@@ -138,6 +149,17 @@ class Module:
         self.functions[fn.name] = fn
         return fn
 
+    def clone(self) -> "Module":
+        """Clone every function (see :meth:`Function.clone`) through one
+        shared value map, so a constant shared across functions stays
+        shared in the copy."""
+        cloner = _Cloner()
+        new = Module(self.name)
+        for name, fn in self.functions.items():
+            new.functions[name] = cloner.function(fn)
+        cloner.finish()
+        return new
+
     def kernels(self) -> List[Function]:
         return [f for f in self.functions.values() if f.is_kernel]
 
@@ -155,3 +177,103 @@ class Module:
 
     def __iter__(self) -> Iterator[Function]:
         return iter(self.functions.values())
+
+
+# -- structural cloning ---------------------------------------------------------
+
+#: per instruction class: the slots it adds to Value's and Instruction's
+_EXTRA_SLOTS: Dict[type, Tuple[str, ...]] = {}
+
+
+def _extra_slots(cls: type) -> Tuple[str, ...]:
+    slots = _EXTRA_SLOTS.get(cls)
+    if slots is None:
+        slots = _EXTRA_SLOTS[cls] = tuple(
+            slot
+            for klass in cls.__mro__
+            if klass not in (Instruction, Value, object)
+            for slot in klass.__dict__.get("__slots__", ())
+        )
+    return slots
+
+
+class _Cloner:
+    """Copies IR in the manner of LLVM's ``CloneFunction``: walk the blocks
+    in order building an old -> new value map, then remap operands,
+    branch targets, parent links and use lists through it.
+
+    The map is keyed by object identity — :class:`Constant` compares by
+    value, so a value-keyed map would merge two distinct but equal
+    constants and corrupt their use lists.
+    """
+
+    def __init__(self) -> None:
+        self.vmap: Dict[int, Value] = {}
+        #: the original of every cloned value, for the use-list pass
+        self.olds: List[Value] = []
+
+    def _add(self, old: Value, new: Value) -> Value:
+        self.vmap[id(old)] = new
+        self.olds.append(old)
+        return new
+
+    def _operand(self, old: Value) -> Value:
+        """Clone of an operand not met yet: only a constant may be one."""
+        if not isinstance(old, Constant):
+            raise ValueError(f"operand {old!r} is not defined in the cloned IR")
+        # constants live outside blocks: clone each on its first use
+        new = object.__new__(Constant)
+        new.type, new.name, new.uses, new.value = old.type, old.name, [], old.value
+        return self._add(old, new)
+
+    def function(self, fn: Function) -> Function:
+        new = object.__new__(Function)
+        new.__dict__.update(fn.__dict__)
+        new.args = []
+        for a in fn.args:
+            na = object.__new__(Argument)
+            na.type, na.name, na.uses, na.index = a.type, a.name, [], a.index
+            new.args.append(self._add(a, na))
+        new.local_arrays = []
+        for la in fn.local_arrays:
+            nla = object.__new__(LocalArray)
+            nla.type, nla.name, nla.uses = la.type, la.name, []
+            nla.array_type = la.array_type
+            new.local_arrays.append(self._add(la, nla))
+        bmap: Dict[int, BasicBlock] = {}
+        new.blocks = []
+        for bb in fn.blocks:
+            nb = object.__new__(BasicBlock)
+            nb.name, nb.parent, nb.instructions = bb.name, new, []
+            bmap[id(bb)] = nb
+            new.blocks.append(nb)
+        for bb, nb in zip(fn.blocks, new.blocks):
+            for inst in bb.instructions:
+                cls = type(inst)
+                ni = object.__new__(cls)
+                ni.type, ni.name, ni.uses = inst.type, inst.name, []
+                # ids are copied, not drawn afresh: trace records and the
+                # race analyzer's pair order are keyed on them
+                ni.parent, ni.id = nb, inst.id
+                for slot in _extra_slots(cls):
+                    v = getattr(inst, slot)
+                    setattr(ni, slot, bmap[id(v)] if isinstance(v, BasicBlock) else v)
+                nb.instructions.append(self._add(inst, ni))
+        # operands only now: an operand may be defined in a later block
+        vget = self.vmap.get
+        for bb, nb in zip(fn.blocks, new.blocks):
+            for inst, ni in zip(bb.instructions, nb.instructions):
+                ops = ni.operands = []
+                for op in inst.operands:
+                    nop = vget(id(op))
+                    ops.append(nop if nop is not None else self._operand(op))
+        return new
+
+    def finish(self) -> None:
+        """Rebuild every use list entry for entry, in the original's order
+        (use order decides which candidate the Grover pass meets first)."""
+        vmap = self.vmap
+        for old in self.olds:
+            vmap[id(old)].uses = [
+                (vmap[id(user)], idx) for user, idx in old.uses if id(user) in vmap
+            ]

@@ -18,7 +18,6 @@ applied per rewrite site instead of per kernel.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Tuple
 
 from repro.ir.function import Function
@@ -82,7 +81,7 @@ class BarrierEliminationRule(RewriteRule):
         while changed:
             changed = False
             for bi, ii in _barrier_positions(fn):
-                trial = copy.deepcopy(fn)
+                trial = fn.clone()
                 trial.blocks[bi].instructions[ii].erase_from_parent()
                 if not _provably_clean(trial, geometry):
                     continue

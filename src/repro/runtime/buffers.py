@@ -8,6 +8,9 @@ numpy backing store directly.
 
 from __future__ import annotations
 
+import os
+import re
+import weakref
 from typing import Dict, Optional
 
 import numpy as np
@@ -27,6 +30,11 @@ class Buffer:
     ``data`` lets a caller hand in an external ``uint8`` backing store of
     at least the padded length — how worker shards mount zero-copy views
     of a :class:`ShmArena` segment instead of private copies.
+
+    The buffer refers to its :class:`Memory` weakly (``mem`` is ``None``
+    once the registry is gone): ``Memory.buffers`` already refers to the
+    buffer, and a strong back link would make every buffer part of a
+    reference cycle, freed only when the cyclic collector next runs.
     """
 
     def __init__(
@@ -37,7 +45,7 @@ class Buffer:
         name: str = "",
         data: Optional[np.ndarray] = None,
     ) -> None:
-        self.mem = mem
+        self._mem = weakref.ref(mem)
         self.id = buf_id
         self.nbytes = nbytes
         self.name = name
@@ -52,6 +60,10 @@ class Buffer:
         self.data = data
         #: cached dtype views of the backing store
         self._views: Dict[np.dtype, np.ndarray] = {}
+
+    @property
+    def mem(self) -> Optional["Memory"]:
+        return self._mem()
 
     @property
     def base_addr(self) -> int:
@@ -123,6 +135,45 @@ class Memory:
         return first, (addrs & OFFSET_MASK).astype(np.int64)
 
 
+#: segment names of sharded launches: ``repro-<owner pid>-<seq>a`` for the
+#: arena, ``repro-<owner pid>-<seq>t<shard>`` for a shard's trace blob
+_SEGMENT_NAME = re.compile(r"repro-(\d+)-\d+(?:a|t\d+)")
+#: the sweep runs once per process, on its first publish
+_orphans_swept = False
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        pass
+    return True
+
+
+def sweep_orphaned_segments() -> None:
+    """Unlink the launch segments whose owner process no longer exists.
+
+    A process killed between publishing an arena and its launch's
+    ``finally`` (SIGKILL, or SIGTERM with no handler) leaves its segments
+    in ``/dev/shm``; nothing else would ever remove them.  A segment whose
+    owner pid is alive is never touched.
+    """
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:  # no shared-memory directory on this platform
+        return
+    for name in names:
+        m = _SEGMENT_NAME.fullmatch(name)
+        if m is None or _pid_alive(int(m.group(1))):
+            continue
+        try:
+            os.unlink(os.path.join("/dev/shm", name))
+        except OSError:  # swept concurrently, or not ours to remove
+            pass
+
+
 class ShmArena:
     """Every buffer argument of one launch in a single POSIX shared-memory
     segment.
@@ -143,6 +194,8 @@ class ShmArena:
     call ``unlink``; every attachment calls ``close``.  ``close`` with a
     live numpy view swallows the ``BufferError`` — the mapping then lives
     until the views die, which leaks address space, never the segment.
+    If the owner is killed before it unlinks, the next process to publish
+    an arena sweeps the segment (:func:`sweep_orphaned_segments`).
     """
 
     def __init__(self, shm, layout: Dict[int, tuple], total_bytes: int) -> None:
@@ -157,7 +210,15 @@ class ShmArena:
 
     @classmethod
     def publish(cls, name: str, buffers: Dict[int, "Buffer"]) -> "ShmArena":
+        """Create segment ``name`` holding every buffer's bytes.  A
+        process's first publish also sweeps segments orphaned by dead
+        processes (:func:`sweep_orphaned_segments`)."""
         from multiprocessing import shared_memory
+
+        global _orphans_swept
+        if not _orphans_swept:
+            _orphans_swept = True
+            sweep_orphaned_segments()
 
         layout: Dict[int, tuple] = {}
         off = 0

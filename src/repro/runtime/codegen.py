@@ -1878,15 +1878,19 @@ def execute_codegen(
         t1 = time.perf_counter()
         rest = list(range(0 if pilot_cached else 1, len(picks)))
         n_batches = 0
-        for lo in range(0, len(rest), tape_batch):
-            chunk = rest[lo:lo + tape_batch]
-            n_batches += 1
-            out = ex.replay_batch([gids[i] for i in chunk])
-            if store is not None and collect_trace:
-                store.adopt_group_lists(out)
-            for slot, gt in out.items():
-                traces[chunk[slot]] = gt
-            work_items += n_lanes * len(chunk)
+        try:
+            for lo in range(0, len(rest), tape_batch):
+                chunk = rest[lo:lo + tape_batch]
+                n_batches += 1
+                out = ex.replay_batch([gids[i] for i in chunk])
+                if store is not None and collect_trace:
+                    store.adopt_group_lists(out)
+                for slot, gt in out.items():
+                    traces[chunk[slot]] = gt
+                work_items += n_lanes * len(chunk)
+        finally:
+            # a divert compiles closures onto the (possibly cached) steps
+            ex.release()
         events.emit(
             "codegen_replay",
             kernel=kernel.name,

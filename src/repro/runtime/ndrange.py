@@ -114,6 +114,11 @@ def launch(
         for v in args.values():
             if isinstance(v, Buffer):
                 memory = v.mem
+                if memory is None:
+                    raise RuntimeLaunchError(
+                        f"the Memory of buffer {v.name or v.id} no longer "
+                        "exists; keep it alive or pass memory="
+                    )
                 break
         else:
             memory = Memory()

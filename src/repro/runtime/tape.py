@@ -974,6 +974,22 @@ class TapeExecutor:
         self._scratch = []
         self._private_slabs = []
 
+    def release(self) -> None:
+        """Drop the step and closure tables when the launch ends.
+
+        The compiled closures capture this executor, whose ``arg_values``
+        hold the launch's buffers: left in place, that cycle keeps every
+        buffer alive until the cyclic collector next runs.  The steps
+        may belong to a cached pilot schedule, so only the closures are
+        cleared on them; a later executor recompiles its own.
+        """
+        for step in self.steps:
+            step.ops = []
+            step.op_pos = {}
+            step.guard = None
+        self.steps = []
+        self._closures_ready = False
+
     def replay_batch(
         self, slot_gids: List[Tuple[int, ...]]
     ) -> Dict[int, Optional[GroupTrace]]:
@@ -1052,15 +1068,18 @@ def execute_tape(
         t1 = time.perf_counter()
         rest = list(range(1, len(picks)))
         n_batches = 0
-        for lo in range(0, len(rest), tape_batch):
-            chunk = rest[lo:lo + tape_batch]
-            n_batches += 1
-            out = tape.replay_batch([gids[i] for i in chunk])
-            if store is not None and collect_trace:
-                store.adopt_group_lists(out)
-            for slot, gt in out.items():
-                traces[chunk[slot]] = gt
-            work_items += ctx0.n_lanes * len(chunk)
+        try:
+            for lo in range(0, len(rest), tape_batch):
+                chunk = rest[lo:lo + tape_batch]
+                n_batches += 1
+                out = tape.replay_batch([gids[i] for i in chunk])
+                if store is not None and collect_trace:
+                    store.adopt_group_lists(out)
+                for slot, gt in out.items():
+                    traces[chunk[slot]] = gt
+                work_items += ctx0.n_lanes * len(chunk)
+        finally:
+            tape.release()
         events.emit(
             "tape_replay",
             kernel=kernel.name,

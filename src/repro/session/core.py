@@ -18,7 +18,6 @@ working unchanged (and produce bit-identical results — asserted by
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import os
 import time
@@ -174,9 +173,11 @@ class Session:
         """Compile OpenCL C source text into a verified IR module.
 
         The implementation behind ``repro.frontend.compile_source``:
-        session-owned LRU cache (every hit hands out a private deepcopy),
-        default pass pipeline via the :class:`PassManager`, and
-        ``compile_*`` events on the bus.
+        session-owned LRU cache (the cache keeps its own clone of each
+        compiled module and every hit hands out a fresh
+        :meth:`~repro.ir.function.Module.clone` of it), default pass
+        pipeline via the :class:`PassManager`, and ``compile_*`` events
+        on the bus.
         """
         from pycparser import CParser
         from pycparser.c_parser import ParseError
@@ -200,7 +201,7 @@ class Session:
                 if hit is not None:
                     self._compile_cache.move_to_end(key)
                     events.emit("compile_cache_hit", module=module_name, source_sha1=sha)
-                    return copy.deepcopy(hit)
+                    return hit.clone()
                 events.emit("compile_cache_miss", module=module_name, source_sha1=sha)
             t0 = time.perf_counter()
             pre = preprocess(source, defines)
@@ -225,7 +226,7 @@ class Session:
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
             if cache:
-                self._compile_cache[key] = copy.deepcopy(module)
+                self._compile_cache[key] = module.clone()
                 limit = int(self.get("compile_cache_size"))
                 while len(self._compile_cache) > limit:
                     self._compile_cache.popitem(last=False)

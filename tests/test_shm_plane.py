@@ -16,6 +16,8 @@ Three contracts:
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,3 +237,44 @@ def test_label_corpus_reuses_pool_and_reproduces_serial_labels():
     parallel = label_corpus(workers=2, **kw)
     assert worker_pool._SHARED is not None
     assert serial == parallel  # bit-for-bit labels, deterministic order
+
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_first_publish_sweeps_segments_of_dead_processes(monkeypatch):
+    """A launch killed before its ``finally`` leaves ``repro-<pid>-<seq>a``
+    behind; the next process's first publish removes it, and never a
+    segment whose owner is alive."""
+    from repro.runtime import buffers
+
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its pid now names no process
+    orphans = [f"repro-{child.pid}-1a", f"repro-{child.pid}-1t0"]
+    mine = [f"repro-{os.getpid()}-999999a", f"repro-{os.getpid()}-999999t1"]
+
+    def make(name):
+        os.close(os.open(f"/dev/shm/{name}", os.O_CREAT | os.O_EXCL, 0o600))
+
+    def publish():
+        arena = buffers.ShmArena.publish(f"repro-{os.getpid()}-999998a", {})
+        arena.close()
+        arena.unlink()
+
+    for name in orphans + mine:
+        make(name)
+    try:
+        monkeypatch.setattr(buffers, "_orphans_swept", False)
+        publish()
+        left = _dev_shm()
+        assert not left & set(orphans)
+        assert left >= set(mine)
+        # only a process's first publish sweeps
+        make(orphans[0])
+        publish()
+        assert orphans[0] in _dev_shm()
+    finally:
+        for name in orphans + mine:
+            try:
+                os.unlink(f"/dev/shm/{name}")
+            except FileNotFoundError:
+                pass
